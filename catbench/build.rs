@@ -1,0 +1,20 @@
+//! Records the compiler version and build profile for the provenance
+//! line every result carries.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_default();
+    println!("cargo:rustc-env=CATBENCH_RUSTC={}", version.trim());
+    println!(
+        "cargo:rustc-env=CATBENCH_PROFILE={}",
+        std::env::var("PROFILE").unwrap_or_default()
+    );
+    println!("cargo:rerun-if-changed=build.rs");
+}
