@@ -65,7 +65,7 @@ fn main() {
     // recording sinks, exported as a Chrome trace (open in
     // chrome://tracing / Perfetto) and a per-epoch CSV power timeline —
     // see EXPERIMENTS.md "Power-state timeline".
-    let traced_cfg = MultiNocConfig::catnap_4x128().gating(true).step_threads(1);
+    let traced_cfg = MultiNocConfig::catnap_4x128().gating(true);
     let trace = trace_synthetic(traced_cfg, SyntheticPattern::UniformRandom, 0.05, 512, 3_000, 2);
     emit_trace("fig06_4nt128_gated", &trace);
     emit_csv_timeline("fig06_4nt128_gated", &trace, 150);

@@ -65,7 +65,7 @@ catnap_util::impl_to_json_struct!(PerfFastForward {
 /// pinned to per-cycle stepping — the baseline the speedup is measured
 /// against; the simulation itself is identical either way.
 fn run_timed(scenario: &str, offered: f64, cycles: u64, force_full: bool) -> (Scenario, SkipStats, Snapshot, u64) {
-    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7).step_threads(1);
+    let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let mut net = MultiNoc::new(cfg);
     net.set_force_full_step(force_full);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, offered, 512, net.dims(), 7);

@@ -64,7 +64,7 @@ fn jobs() -> Vec<SimJob> {
         .map(|i| {
             let rate = 0.005 + 0.0025 * i as f64;
             SimJob {
-                cfg: MultiNocConfig::catnap_4x128().gating(true).step_threads(1),
+                cfg: MultiNocConfig::catnap_4x128().gating(true),
                 pattern: SyntheticPattern::UniformRandom,
                 schedule: LoadSchedule::piecewise(vec![(0, WARM_RATE), (WARMUP, rate)]),
                 packet_bits: 512,

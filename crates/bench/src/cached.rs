@@ -63,8 +63,8 @@ pub struct JobRequest {
     pub config: String,
     /// Power gating on/off.
     pub gating: bool,
-    /// Worker lanes for stepping subnets/shards (scheduling only; never
-    /// part of any fingerprint).
+    /// The protocol's `threads` field: validated by `catnap-serve` but
+    /// without effect on execution, and never part of any fingerprint.
     pub threads: usize,
     /// Destination pattern.
     pub pattern: SyntheticPattern,
@@ -112,8 +112,7 @@ impl JobRequest {
 }
 
 /// The [`JobRequest`]s of a constant-load latency sweep: one request per
-/// offered load, single-threaded workers (a fleet parallelizes across
-/// points, not within them). The exact counterpart of
+/// offered load (a fleet parallelizes across points). The exact counterpart of
 /// [`crate::runs::latency_sweep`]'s point list, so a distributed sweep
 /// can be checked byte-for-byte against the serial one.
 #[allow(clippy::too_many_arguments)]
@@ -309,7 +308,7 @@ mod tests {
 
     fn job_at(measure_rate: f64) -> SimJob {
         SimJob {
-            cfg: MultiNocConfig::catnap_2x128_64core().gating(true).step_threads(1),
+            cfg: MultiNocConfig::catnap_2x128_64core().gating(true),
             pattern: SyntheticPattern::UniformRandom,
             schedule: LoadSchedule::piecewise(vec![(0, 0.15), (300, measure_rate)]),
             packet_bits: 512,

@@ -6,9 +6,8 @@ use catnap_multicore::{System, SystemConfig, SystemReport};
 use catnap_power::TechParams;
 use catnap_telemetry::{RecordingSink, Trace};
 use catnap_traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload, WorkloadMix};
-use catnap_util::pool::{effective_parallelism, ThreadPool};
+use catnap_util::pool::{effective_parallelism, fan_out};
 use catnap_util::{impl_from_json_struct, impl_to_json_struct};
-use std::sync::Arc;
 
 /// One point of a synthetic-traffic measurement.
 #[derive(Clone, Debug)]
@@ -66,30 +65,9 @@ pub fn run_synthetic(
     measure: u64,
     seed: u64,
 ) -> SweepPoint {
-    run_synthetic_on(cfg, pattern, offered, packet_bits, warmup, measure, seed, None)
-}
-
-/// [`run_synthetic`] on a caller-provided shared pool (`None` = let the
-/// instance size its own parallelism). Sweeps pass the pool their own
-/// points run on, so a point's subnet and shard steps become nested
-/// jobs that idle sweep lanes steal. Bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_on(
-    cfg: MultiNocConfig,
-    pattern: SyntheticPattern,
-    offered: f64,
-    packet_bits: u32,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-    pool: Option<Arc<ThreadPool>>,
-) -> SweepPoint {
     let name = cfg.name.clone();
     let tech = TechParams::catnap_32nm();
-    let mut net = match pool {
-        Some(p) => MultiNoc::with_shared_pool(cfg, p),
-        None => MultiNoc::new(cfg),
-    };
+    let mut net = MultiNoc::new(cfg);
     let mut load = SyntheticWorkload::new(pattern, offered, packet_bits, net.dims(), seed);
     for _ in 0..warmup {
         load.drive(&mut net);
@@ -141,10 +119,10 @@ pub fn trace_synthetic(
 
 /// Latency/throughput sweep over offered loads.
 ///
-/// Sweep points are independent simulations, so they fan out across a
-/// thread pool (respecting the `CATNAP_THREADS` override); results come
-/// back in load order, and each point is a deterministic function of its
-/// inputs, so the output is identical to the serial sweep.
+/// Sweep points are independent simulations, so they fan out over
+/// [`fan_out`] lanes (respecting the `CATNAP_THREADS` override); results
+/// come back in load order, and each point is a deterministic function
+/// of its inputs, so the output is identical to the serial sweep.
 ///
 /// When `CATNAP_CACHE_DIR` is set, the sweep routes through the
 /// fingerprint-keyed [`SimCache`] instead ([`latency_sweep_cached`]):
@@ -163,22 +141,14 @@ pub fn latency_sweep(
         let mut cache = SimCache::from_env_or("catnap-cache").expect("CATNAP_CACHE_DIR must be a writable directory");
         return latency_sweep_cached(&mut cache, cfg, pattern, loads, packet_bits, warmup, measure, seed);
     }
-    // One work-stealing pool serves the whole sweep: each point is a
-    // job, and a point's own subnet and shard steps are nested jobs on
-    // the same pool — so lanes idled by the sweep's tail steal shard
-    // work from the stragglers instead of going to sleep. No
-    // oversubscription: the lane count is fixed regardless of nesting.
-    let pool = Arc::new(ThreadPool::new(effective_parallelism(loads.len())));
-    let point_cfg = cfg.clone();
     let jobs: Vec<_> = loads
         .iter()
         .map(|&l| {
-            let cfg = point_cfg.clone();
-            let pool = Arc::clone(&pool);
-            move || run_synthetic_on(cfg, pattern, l, packet_bits, warmup, measure, seed, Some(pool))
+            let cfg = cfg.clone();
+            move || run_synthetic(cfg, pattern, l, packet_bits, warmup, measure, seed)
         })
         .collect();
-    pool.run(jobs)
+    fan_out(effective_parallelism(loads.len()), jobs)
 }
 
 /// [`latency_sweep`] through an explicit result cache: each point is an
@@ -200,11 +170,10 @@ pub fn latency_sweep_cached(
     measure: u64,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let point_cfg = cfg.clone().step_threads(1);
     let jobs: Vec<SimJob> = loads
         .iter()
         .map(|&l| SimJob {
-            cfg: point_cfg.clone(),
+            cfg: cfg.clone(),
             pattern,
             schedule: LoadSchedule::constant(l),
             packet_bits,

@@ -4,20 +4,16 @@
 
 use crate::config::{MultiNocConfig, RegionMode, SelectorKind};
 use crate::congestion::{CongestionMetric, LocalDetector, NodeSignals};
-use crate::dispatch::{force_static_dispatch, CyclePlan, DispatchController, DispatchStats};
 use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
 use catnap_noc::checkpoint::{get_flit, put_flit};
 use catnap_noc::quiescence::{Quiescence, QuiescenceTracker};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
-use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, PartitionShape, RegionMap};
+use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
 use catnap_traffic::generator::{PacketSink, TrafficSource};
 use catnap_util::codec::{ByteReader, ByteWriter, CodecError};
-use catnap_util::pool::{effective_parallelism, ThreadPool};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A multiple network-on-chip with Catnap policies.
 ///
@@ -29,9 +25,8 @@ use std::time::Instant;
 /// Like [`Network`], the design is generic over a telemetry [`Sink`]
 /// (default [`NopSink`], compiled to nothing). [`MultiNoc::with_sinks`]
 /// attaches one sink per [`SinkScope`] — the serial policy layer plus
-/// one per subnet, so per-subnet streams stay thread-local while the
-/// subnets step on the pool — and [`MultiNoc::take_trace`] merges them
-/// into a [`Trace`] for the exporters.
+/// one per subnet — and [`MultiNoc::take_trace`] merges them into a
+/// [`Trace`] for the exporters.
 pub struct MultiNoc<S: Sink = NopSink> {
     cfg: MultiNocConfig,
     subnets: Vec<Network<S>>,
@@ -65,30 +60,9 @@ pub struct MultiNoc<S: Sink = NopSink> {
     /// Per-subnet count of set local-congestion bits (`lcs[s]`), so the
     /// detector and OR-network elisions can test "all clear" in O(1).
     lcs_set: Vec<usize>,
-    /// Pool stepping the subnets (and their spatial shards) in
-    /// parallel; `None` = strictly serial. Shared across instances when
-    /// built via [`MultiNoc::with_shared_pool`].
-    pool: Option<Arc<ThreadPool>>,
-    /// Spatial shards per subnet mesh when a busy subnet steps on the
-    /// pool (resolved from `shard_threads`, defaulting to the lane
-    /// count). Purely a scheduling knob — bit-identical at any value.
-    shards: usize,
-    /// The adaptive (or pinned-static) dispatch controller deciding,
-    /// each cycle, whether busy subnets fan out to the pool and whether
-    /// pooled subnets shard their phase 2. Runtime scratch: never
-    /// serialized, never fingerprinted.
-    dispatch: DispatchController,
-    /// Last cycle's plan and phase start, settled into the controller at
-    /// the *next* cycle's planning point. Attributing the full
-    /// cycle-to-cycle wall time (rather than just the phase) charges
-    /// costs a fan-out defers past the phase itself — worker wake-ups
-    /// and the context-switch pressure they put on an oversubscribed
-    /// host — to the arm that caused them; the arm-independent work in
-    /// between (drive, NIs, policy) lands on both arms equally, so the
-    /// comparison is unbiased.
-    pending_phase: Option<(CyclePlan, Instant)>,
-    /// Reusable per-subnet busy-router census handed to the controller.
-    census_buf: Vec<usize>,
+    /// [`MultiNoc::step`] calls on this instance (diagnostics only —
+    /// never serialized; see [`MultiNoc::dispatch_stats`]).
+    stepped_cycles: u64,
     /// Reusable buffer for per-subnet ejection drains (no per-cycle
     /// allocation).
     eject_buf: Vec<(NodeId, Flit)>,
@@ -120,27 +94,13 @@ impl MultiNoc {
     pub fn new(cfg: MultiNocConfig) -> Self {
         MultiNoc::with_sinks(cfg, |_| NopSink)
     }
-
-    /// Builds a Multi-NoC stepping on a caller-provided pool instead of
-    /// spawning its own — lets a sweep share one set of worker threads
-    /// across many short-lived instances. The pool is the parallelism
-    /// authority here: `step_threads` is ignored (a serial pool means
-    /// the plain serial loop). Results are bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn with_shared_pool(cfg: MultiNocConfig, pool: Arc<ThreadPool>) -> Self {
-        MultiNoc::with_sinks_on(cfg, |_| NopSink, Some(pool))
-    }
 }
 
 impl<S: Sink> MultiNoc<S> {
     /// Builds a Multi-NoC with one telemetry sink per scope: the factory
     /// is called once with [`SinkScope::Policy`] and once per subnet
-    /// with [`SinkScope::Subnet`]. Separate instances keep each event
-    /// stream thread-local while subnets step in parallel; collect them
-    /// merged via [`MultiNoc::take_trace`].
+    /// with [`SinkScope::Subnet`]; collect the streams merged via
+    /// [`MultiNoc::take_trace`].
     ///
     /// Telemetry is observation-only: runs are bit-identical with any
     /// sink (the determinism suite asserts this against the goldens).
@@ -148,17 +108,7 @@ impl<S: Sink> MultiNoc<S> {
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn with_sinks(cfg: MultiNocConfig, sinks: impl FnMut(SinkScope) -> S) -> Self {
-        Self::with_sinks_on(cfg, sinks, None)
-    }
-
-    /// [`MultiNoc::with_sinks`] with an optional caller-provided pool
-    /// (see [`MultiNoc::with_shared_pool`]).
-    pub fn with_sinks_on(
-        cfg: MultiNocConfig,
-        mut sinks: impl FnMut(SinkScope) -> S,
-        shared_pool: Option<Arc<ThreadPool>>,
-    ) -> Self {
+    pub fn with_sinks(cfg: MultiNocConfig, mut sinks: impl FnMut(SinkScope) -> S) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid MultiNoc configuration: {e}");
         }
@@ -183,37 +133,6 @@ impl<S: Sink> MultiNoc<S> {
             SelectorKind::Random => Box::new(RandomSelect::new(cfg.seed)),
             SelectorKind::CatnapPriority => Box::new(CatnapPriority::new(nodes)),
         };
-        // Subnets only interact through the NIs between steps, so they
-        // can advance concurrently with bit-identical results; within a
-        // busy subnet, phase 2 additionally splits into spatial shards
-        // on the same pool (`Network::step_sharded`). One lane
-        // (explicit `step_threads(1)`, CATNAP_THREADS=1, a single-core
-        // machine) means no pool at all: the plain serial loop. Lanes
-        // beyond the subnet count are useful now that shards also feed
-        // the pool, so auto sizing caps at `subnets x rows` (the
-        // finest spatial split) rather than at the subnet count, and an
-        // explicit `step_threads` is honored verbatim.
-        let max_useful = k * usize::from(cfg.dims.rows.max(1));
-        let pool = match shared_pool {
-            Some(p) if p.parallelism() > 1 => Some(p),
-            Some(_) => None,
-            None => {
-                let lanes = cfg.step_threads.unwrap_or_else(|| effective_parallelism(max_useful));
-                (lanes > 1).then(|| Arc::new(ThreadPool::new(lanes)))
-            }
-        };
-        let shards = cfg
-            .shard_threads
-            .unwrap_or_else(|| pool.as_ref().map_or(1, |p| p.parallelism()))
-            .max(1);
-        // The dispatch controller self-tunes the subnet/shard fan-out
-        // crossovers unless pinned off (config or the
-        // CATNAP_FORCE_STATIC_DISPATCH escape hatch). Without a pool
-        // there is nothing to decide. Scheduling-only: bit-identical in
-        // every mode, so none of this is fingerprinted or serialized.
-        let adaptive = pool.is_some() && cfg.adaptive_dispatch.unwrap_or(true) && !force_static_dispatch();
-        let shape = cfg.partition_shape.unwrap_or_else(|| PartitionShape::pick(cfg.dims, shards));
-        let dispatch = DispatchController::new(adaptive, shape);
         MultiNoc {
             subnets,
             nis,
@@ -235,11 +154,7 @@ impl<S: Sink> MultiNoc<S> {
             ni_busy: vec![false; nodes],
             busy_nis: Vec::new(),
             lcs_set: vec![0; k],
-            pool,
-            shards,
-            dispatch,
-            pending_phase: None,
-            census_buf: Vec::with_capacity(k),
+            stepped_cycles: 0,
             eject_buf: Vec::new(),
             congested_buf: Vec::with_capacity(k),
             trackers: vec![QuiescenceTracker::new(); k],
@@ -271,28 +186,15 @@ impl<S: Sink> MultiNoc<S> {
         }
     }
 
-    /// Lanes used to step the subnets (1 = serial).
-    pub fn step_parallelism(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.parallelism())
-    }
-
-    /// What the dispatch controller decided so far, merged with the
-    /// stepping pool's lane counters. Diagnostics only — never
-    /// serialized. Note that a pool shared via
-    /// [`MultiNoc::with_shared_pool`] accumulates counters across every
-    /// instance using it.
+    /// How the subnet-stepping phase ran so far. Subnets always step
+    /// serially, so only `phase_serial` (cycles stepped by
+    /// [`MultiNoc::step`] on this instance) moves. Diagnostics only —
+    /// never serialized.
     pub fn dispatch_stats(&self) -> DispatchStats {
-        let mut s = self.dispatch.stats();
-        if let Some(pool) = &self.pool {
-            let p = pool.stats();
-            s.pool_jobs_run = p.jobs_run;
-            s.pool_steals = p.steals;
-            s.pool_failed_steals = p.failed_steals;
-            s.pool_injector_pops = p.injector_pops;
-            s.pool_lane_pops = p.lane_pops;
-            s.pool_park_waits = p.park_waits;
+        DispatchStats {
+            phase_serial: self.stepped_cycles,
+            ..DispatchStats::default()
         }
-        s
     }
 
     /// Disables (or re-enables) *every* cycle-skipping shortcut: the
@@ -449,69 +351,12 @@ impl<S: Sink> MultiNoc<S> {
 
         // --- Step every subnet ---
         // Each `Network::step` is self-contained (no cross-subnet state,
-        // no RNG), so stepping the K subnets on the pool is bit-identical
-        // to the serial loop; all cross-subnet coupling (NIs, policies,
-        // detectors, OR networks) happens serially around this point.
-        match &self.pool {
-            Some(pool) => {
-                // Crossover dispatch, planned by the controller: it
-                // decides whether the cycle's busy subnets fan out to
-                // the pool at all, and — per pooled subnet — whether
-                // phase 2 engages the spatial shard sweep. Idle subnets
-                // always step inline (a pool hand-off costs more than
-                // the step itself). All arms are bit-identical, so the
-                // plan is pure scheduling; the wall times fed back only
-                // steer future plans.
-                let shards = self.shards;
-                let pool_ref: &ThreadPool = pool;
-                // Settle last cycle's sample first: recording recycles
-                // the plan's allocation for `plan_cycle` below.
-                if let Some((prev, started)) = self.pending_phase.take() {
-                    self.dispatch.record_phase(prev, started.elapsed());
-                }
-                self.census_buf.clear();
-                self.census_buf.extend(self.subnets.iter().map(|net| net.busy_routers()));
-                let plan = self.dispatch.plan_cycle(&self.census_buf);
-                let shape = self.dispatch.shape();
-                let phase_start = Instant::now();
-                if plan.fanout {
-                    let choices = &plan.choices[..];
-                    let jobs: Vec<_> = self
-                        .subnets
-                        .iter_mut()
-                        .enumerate()
-                        .filter_map(|(i, net)| {
-                            let ch = choices[i];
-                            if ch.dispatch {
-                                Some(move || {
-                                    let job_start = Instant::now();
-                                    net.step_sharded_opts(pool_ref, shards, shape, ch.min_runset);
-                                    (i, job_start.elapsed())
-                                })
-                            } else {
-                                net.step();
-                                None
-                            }
-                        })
-                        .collect();
-                    if !jobs.is_empty() {
-                        for (i, elapsed) in pool_ref.run(jobs) {
-                            self.dispatch.record_subnet(&choices[i], elapsed);
-                        }
-                    }
-                } else {
-                    for net in &mut self.subnets {
-                        net.step();
-                    }
-                }
-                self.pending_phase = Some((plan, phase_start));
-            }
-            None => {
-                for net in &mut self.subnets {
-                    net.step();
-                }
-            }
+        // no RNG); all cross-subnet coupling (NIs, policies, detectors,
+        // OR networks) happens around this point.
+        for net in &mut self.subnets {
+            net.step();
         }
+        self.stepped_cycles += 1;
         self.cycle = self.subnets[0].cycle();
 
         // --- Ejection and latency accounting ---
@@ -875,8 +720,8 @@ impl<S: Sink> MultiNoc<S> {
 
     /// Overlays serialized state from [`MultiNoc::save_state`] onto this
     /// freshly-built instance (same configuration). Derived structures —
-    /// the per-subnet set-bit censuses, the busy-NI membership flags, the
-    /// thread pool, scratch buffers — are recomputed, never deserialized.
+    /// the per-subnet set-bit censuses, the busy-NI membership flags,
+    /// scratch buffers — are recomputed, never deserialized.
     ///
     /// # Errors
     ///
@@ -885,9 +730,6 @@ impl<S: Sink> MultiNoc<S> {
     pub(crate) fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let k = self.cfg.subnets;
         let nodes = self.cfg.dims.num_nodes();
-        // An unsettled phase sample would span the whole load — drop it
-        // rather than feed the controller a nonsense cost.
-        self.pending_phase = None;
         self.cycle = r.get_u64()?;
         self.generated_packets = r.get_u64()?;
         self.delivered_packets = r.get_u64()?;
@@ -1054,6 +896,28 @@ pub struct SkipStats {
     pub assessments: u64,
     /// Assessments that found the subnet quiescent.
     pub quiescent_assessments: u64,
+}
+
+/// How the subnet-stepping phase of a [`MultiNoc`] ran, from
+/// [`MultiNoc::dispatch_stats`]. Subnets step serially, so
+/// `phase_serial` counts stepped cycles and every other field reads 0;
+/// the fields stay so existing readers of the report keep working.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DispatchStats {
+    /// Cycles stepped by [`MultiNoc::step`].
+    pub phase_serial: u64,
+    /// Always 0: subnets never fan out.
+    pub phase_parallel: u64,
+    /// Always 0: no subnet steps on a pool.
+    pub subnet_serial: u64,
+    /// Always 0: no subnet steps on a pool.
+    pub subnet_parallel: u64,
+    /// Always 0: there is no work-stealing pool.
+    pub pool_steals: u64,
+    /// Always 0: there is no work-stealing pool.
+    pub pool_failed_steals: u64,
+    /// Always 0: there is no work-stealing pool.
+    pub pool_park_waits: u64,
 }
 
 /// Cumulative counters of a [`MultiNoc`] at one instant.

@@ -237,31 +237,6 @@ impl Router {
         }
     }
 
-    /// [`Router::port_active_mask`] as it will read **after** this
-    /// router's next [`Router::step`]/idle tick, assuming no external
-    /// wake request lands mid-cycle. The sharded stepper precomputes
-    /// these for every router scheduled to run this cycle, so a shard
-    /// can read a neighbour's post-tick acceptance mask without
-    /// observing (or racing on) the neighbour's struct. Exact whenever
-    /// wake-up countdowns take ≥ 2 cycles: the only self-induced
-    /// mid-cycle mask change is then a countdown completing, which this
-    /// replicates via [`PowerStateMachine::state_after_tick`].
-    pub fn port_active_mask_after_tick(&self) -> u8 {
-        if !self.psm.state_after_tick().is_active() {
-            return 0;
-        }
-        match &self.port_psm {
-            Some(psms) => {
-                let mut mask = 0u8;
-                for (i, p) in psms.iter().enumerate() {
-                    mask |= u8::from(p.state_after_tick().is_active()) << i;
-                }
-                mask
-            }
-            None => (1u8 << NUM_PORTS) - 1,
-        }
-    }
-
     /// Power state of one input port (port-gating mode) or of the whole
     /// router.
     pub fn port_power_state(&self, port: Port) -> PowerState {

@@ -70,14 +70,12 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// `tornado`, `neighbor`, or `hotspot` with `hotspot` node index and
 /// optional `hotspot_per_mille`), either `rate` (constant load) or
 /// `schedule` (`[[from_cycle, rate], …]`), `packet_bits` (default 512),
-/// `warmup`, `measure`, `seed` (default 7), and `threads` (worker
-/// lanes for stepping the job's subnets and mesh shards; default 1 =
-/// serial, so concurrent jobs never oversubscribe the host unless
-/// asked to). `threads` also accepts the string `"auto"`: lane count
-/// and dispatch crossovers are then left to the worker's adaptive
-/// controller (auto sizing capped by the host, crossovers self-tuned
-/// online). Thread count is a pure scheduling knob — results and cache
-/// keys are bit-identical at any value, `"auto"` included.
+/// `warmup`, `measure`, `seed` (default 7), and `threads`. `threads`
+/// must be an integer >= 1 or the string `"auto"` and is otherwise
+/// ignored: it no longer changes execution (a job's subnets always step
+/// serially), so results and cache keys are the same at every value.
+/// It is still validated so the clients that send it keep a stable
+/// contract.
 ///
 /// # Errors
 ///
@@ -96,21 +94,14 @@ pub fn parse_job(j: &Json) -> Result<SimJob, String> {
         None => true,
         Some(v) => v.as_bool().ok_or("'gating' must be a bool")?,
     };
-    // `None` = controller-managed (auto lane sizing + adaptive
-    // crossovers); `Some(t)` = pinned lanes and shards.
-    let threads = match j.get("threads") {
-        None => Some(1),
-        Some(Json::Str(s)) if s == "auto" => None,
-        Some(v) => Some(
-            v.as_u64()
-                .filter(|&t| t >= 1)
-                .ok_or("'threads' must be an integer >= 1 or \"auto\"")? as usize,
-        ),
-    };
-    let cfg = match threads {
-        Some(t) => cfg.gating(gating).step_threads(t).shard_threads(t),
-        None => cfg.gating(gating),
-    };
+    // `threads` no longer changes execution but keeps its wire contract.
+    if let Some(v) = j.get("threads") {
+        let auto = matches!(v, Json::Str(s) if s == "auto");
+        if !auto && v.as_u64().is_none_or(|t| t == 0) {
+            return Err("'threads' must be an integer >= 1 or \"auto\"".into());
+        }
+    }
+    let cfg = cfg.gating(gating);
     let nodes = cfg.dims.num_nodes() as u16;
 
     let pattern = match j.get("pattern").and_then(Json::as_str).unwrap_or("uniform-random") {
@@ -527,9 +518,7 @@ mod tests {
                     "single-noc-128b" => MultiNocConfig::single_noc_128b(),
                     other => panic!("unexpected preset {other}"),
                 }
-                .gating(req.gating)
-                .step_threads(req.threads)
-                .shard_threads(req.threads),
+                .gating(req.gating),
                 pattern: req.pattern,
                 schedule: req.schedule.clone(),
                 packet_bits: req.packet_bits,
@@ -538,7 +527,6 @@ mod tests {
                 seed: req.seed,
             };
             assert_eq!(job_fingerprint(&parsed), job_fingerprint(&direct));
-            assert_eq!(parsed.cfg.step_threads, Some(req.threads));
         }
     }
 

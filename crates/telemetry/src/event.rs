@@ -146,9 +146,9 @@ impl Event {
 
 /// Which component of a `MultiNoc` a sink instance is attached to.
 ///
-/// The simulator asks a factory for one sink per scope so per-subnet
-/// event streams stay thread-local while the subnets step in parallel;
-/// the streams are only merged (serially) when the trace is collected.
+/// The simulator asks a factory for one sink per scope so each
+/// subnet's event stream stays separate; the streams are only merged
+/// when the trace is collected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SinkScope {
     /// The serial policy layer: selection, congestion bits, packet

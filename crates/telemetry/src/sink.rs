@@ -19,8 +19,8 @@ use crate::event::Event;
 
 /// A consumer of telemetry events.
 ///
-/// `Send` is a supertrait because per-subnet sinks ride their `Network`
-/// onto the stepping thread pool. Implementations must not observe
+/// `Send` is a supertrait so a simulator and its sinks can be handed to
+/// another thread as one value. Implementations must not observe
 /// simulation state or feed anything back — determinism goldens are
 /// asserted bit-identical with and without a recording sink attached.
 pub trait Sink: Send {

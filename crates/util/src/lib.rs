@@ -17,11 +17,9 @@
 //! * [`check`] — a mini property-testing runner: N seeded cases over
 //!   `SimRng`-driven generators, failing-seed reporting, and
 //!   shrink-by-halving.
-//! * [`pool`] — a scoped work-stealing thread pool with persistent
-//!   workers, deterministic result ordering, and a serial fallback, used
-//!   to step subnet shards and fan out benchmark sweep points.
-//! * [`deque`] — the bounded Chase–Lev work-stealing deque the pool's
-//!   workers balance load with.
+//! * [`pool`] — [`fan_out`](pool::fan_out), an order-preserving scoped
+//!   fan-out with a serial fallback, used to run benchmark sweep points
+//!   in parallel.
 //! * [`codec`] — the checkpoint binary format: little-endian
 //!   [`ByteWriter`](codec::ByteWriter)/[`ByteReader`](codec::ByteReader)
 //!   primitives, an incremental FNV-1a hasher, and the versioned
@@ -29,7 +27,6 @@
 
 pub mod check;
 pub mod codec;
-pub mod deque;
 pub mod json;
 pub mod pool;
 pub mod rng;
@@ -37,5 +34,4 @@ pub mod rng;
 pub use check::Checker;
 pub use codec::{ByteReader, ByteWriter, CodecError, Fnv64};
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use pool::{PoolStats, ThreadPool};
 pub use rng::SimRng;

@@ -12,10 +12,13 @@
 //!
 //! [`Snapshot`]: catnap_repro::catnap::Snapshot
 
-use catnap_repro::catnap::{config_fingerprint, MultiNoc, MultiNocConfig, SelectorKind, CHECKPOINT_VERSION};
+use catnap_repro::bench::{run_job_uncached, run_synthetic_cached, CacheOutcome};
+use catnap_repro::catnap::{config_fingerprint, MultiNoc, MultiNocConfig, SelectorKind, SimCache, CHECKPOINT_VERSION};
+use catnap_repro::serve::parse_job;
 use catnap_repro::telemetry::RecordingSink;
 use catnap_repro::traffic::{LoadSchedule, SyntheticPattern, SyntheticWorkload};
 use catnap_repro::util::codec::{self, CodecError};
+use catnap_repro::util::{Json, ToJson};
 
 /// The six pinned goldens from `tests/determinism.rs`. Kept in sync by
 /// hand: if a legitimate change re-pins the determinism goldens, this
@@ -40,6 +43,11 @@ fn golden_load<S: catnap_repro::telemetry::Sink>(net: &MultiNoc<S>) -> Synthetic
     SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7)
 }
 
+/// Cycles between the extra checkpoints the straight-through run saves
+/// and discards: saving is observation-only, so the run must still
+/// reproduce the goldens pinned by runs that never save.
+const SAVE_EVERY: u64 = 97;
+
 /// Save → resume at `SPLIT_CYCLE` must reproduce the straight-through
 /// run exactly, for every golden: the pinned fingerprint tuple, and the
 /// complete cumulative `Snapshot` (per-subnet flit counts included).
@@ -48,18 +56,20 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
     for (selector, gating, want) in PINNED {
         let cfg = golden_cfg(selector, gating);
 
-        // Straight-through run, checkpointing (but not using the blob)
-        // at the split so both runs share one code path up to it.
+        // Straight-through run, checkpointing at the split (so both runs
+        // share one code path up to it) and every `SAVE_EVERY` cycles,
+        // using none of the blobs.
         let mut net = MultiNoc::new(cfg.clone());
         let mut load = golden_load(&net);
-        for _ in 0..SPLIT_CYCLE {
+        let mut blob = Vec::new();
+        for cycle in 1..=TOTAL_CYCLES {
             load.drive(&mut net);
             net.step();
-        }
-        let blob = net.save_checkpoint(&load.encode_position());
-        for _ in SPLIT_CYCLE..TOTAL_CYCLES {
-            load.drive(&mut net);
-            net.step();
+            if cycle == SPLIT_CYCLE {
+                blob = net.save_checkpoint(&load.encode_position());
+            } else if cycle % SAVE_EVERY == 0 {
+                let _ = net.save_checkpoint(&load.encode_position());
+            }
         }
         let straight_snap = net.snapshot();
         let straight = (
@@ -107,6 +117,27 @@ fn resume_is_bit_identical_to_straight_through_for_every_golden() {
             assert_eq!(got, want, "golden fingerprint changed for {selector:?} gating={gating}");
         }
     }
+}
+
+/// A served first-time job takes the cache's miss path: warm up, save
+/// the warm-up checkpoint, keep stepping through the measured window.
+/// This job used to panic there ("fast-forward ... across a wake-up
+/// completion") because the save dropped a pending wake-up from the
+/// scheduler's queue; its answer must equal the never-saved run's.
+#[test]
+fn cached_miss_path_matches_the_uncached_run() {
+    let request = r#"{"config":"catnap-4x128","gating":true,"threads":1,"pattern":"uniform-random","schedule":[[0,0.035],[200,0.035]],"packet_bits":512,"warmup":200,"measure":400,"seed":3827578331}"#;
+    let job = parse_job(&Json::parse(request).unwrap()).expect("job parses");
+    let dir = std::env::temp_dir().join(format!("catnap-checkpoint-miss-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cache = SimCache::new(&dir, 64).expect("temp cache");
+    let (point, outcome) = run_synthetic_cached(&mut cache, &job);
+    assert_eq!(outcome, CacheOutcome::Miss);
+    assert_eq!(
+        point.to_json().to_compact_string(),
+        run_job_uncached(&job).to_json().to_compact_string()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// With recording sinks on both halves, the pre-checkpoint trace plus

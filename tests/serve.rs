@@ -3,7 +3,7 @@
 //! a real TCP connection, cross-checked against the uncached simulation
 //! path so a cache or protocol bug cannot silently change results.
 
-use catnap_repro::bench::run_job_uncached;
+use catnap_repro::bench::{job_fingerprint, run_job_uncached};
 use catnap_repro::catnap::SimCache;
 use catnap_repro::serve::{parse_job, Server};
 use catnap_repro::util::json::ToJson;
@@ -83,12 +83,12 @@ fn jsonl_batch_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `"threads": "auto"` hands lane sizing and dispatch crossovers to the
-/// adaptive controller; a numeric value pins them. Both are pure
-/// scheduling knobs, so the served result — and the job fingerprint the
-/// cache is keyed by — must be byte-identical either way. Separate cache
-/// directories keep the runs honest: each side simulates for itself
-/// rather than reading the other's cached answer.
+/// The `threads` field no longer changes execution, but the wire
+/// contract stays: `"auto"` and any integer >= 1 parse to the same job
+/// (same fingerprint, the cache key) and are answered with the same
+/// bytes, while anything else is refused with the same typed error.
+/// Separate cache directories keep the runs honest: each side
+/// simulates for itself rather than reading the other's cached answer.
 #[test]
 fn auto_threads_matches_pinned_threads_byte_for_byte() {
     let job_with_threads = |id: &str, threads: &str| -> String {
@@ -96,6 +96,27 @@ fn auto_threads_matches_pinned_threads_byte_for_byte() {
             r#"{{"id":"{id}","job":{{"config":"catnap-4x128","pattern":"uniform-random","rate":0.05,"warmup":150,"measure":150,"seed":11,"threads":{threads}}}}}"#
         )
     };
+    let parsed = |threads: &str| {
+        let request = Json::parse(&job_with_threads("x", threads)).unwrap();
+        parse_job(request.get("job").unwrap())
+    };
+
+    let auto_job = parsed("\"auto\"").expect("\"auto\" is accepted");
+    for threads in ["1", "2", "64"] {
+        let job = parsed(threads).expect("integers >= 1 are accepted");
+        assert_eq!(
+            job_fingerprint(&job),
+            job_fingerprint(&auto_job),
+            "threads={threads} must parse to the same job as \"auto\""
+        );
+    }
+    for bad in ["0", "-1", "\"x\""] {
+        assert_eq!(
+            parsed(bad).expect_err("invalid threads must be refused"),
+            "'threads' must be an integer >= 1 or \"auto\"",
+            "threads={bad}"
+        );
+    }
 
     let (auto_cache, auto_dir) = temp_cache("threads-auto");
     let (pinned_cache, pinned_dir) = temp_cache("threads-pinned");
@@ -111,26 +132,24 @@ fn auto_threads_matches_pinned_threads_byte_for_byte() {
     assert_eq!(
         auto.get("fingerprint").unwrap(),
         pinned.get("fingerprint").unwrap(),
-        "thread mode must not enter the cache key"
+        "threads must not enter the cache key"
     );
     assert_eq!(
         auto.get("result").unwrap().to_compact_string(),
         pinned.get("result").unwrap().to_compact_string(),
-        "controller-managed run diverged from the pinned run"
+        "answers must not depend on threads"
     );
-
     // And both match the plain uncached path.
-    let request = Json::parse(&job_with_threads("x", "\"auto\"")).unwrap();
-    let job = parse_job(request.get("job").unwrap()).unwrap();
-    assert_eq!(job.cfg.step_threads, None, "auto must leave lanes unpinned");
-    let direct = run_job_uncached(&job).to_json();
+    let direct = run_job_uncached(&auto_job).to_json();
     assert_eq!(
         auto.get("result").unwrap().to_compact_string(),
         direct.to_compact_string()
     );
 
-    let bad = Json::parse(&auto_server.process_line(&job_with_threads("bad", "\"turbo\""))).unwrap();
-    assert_eq!(bad.get("status").unwrap().as_str(), Some("error"));
+    for bad in ["0", "-1", "\"x\""] {
+        let reply = Json::parse(&auto_server.process_line(&job_with_threads("bad", bad))).unwrap();
+        assert_eq!(reply.get("status").unwrap().as_str(), Some("error"), "threads={bad}");
+    }
 
     let _ = std::fs::remove_dir_all(&auto_dir);
     let _ = std::fs::remove_dir_all(&pinned_dir);
