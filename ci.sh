@@ -25,6 +25,9 @@ echo "== hive smoke (3 spawned catnap-serve workers over loopback TCP) =="
 # The hive integration tests (tests/hive.rs) already ran above with
 # in-process fleets; this exercises the real multi-process path:
 # catnap-hive forks catnap-serve children sharing one cache directory.
+# The release build above covers only the root package; the spawned
+# workers need the serve binary built from its own crate.
+cargo build -q --release --offline -p catnap-serve --bin catnap-serve
 HIVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$HIVE_TMP"' EXIT
 cargo run -q --release --offline -p catnap-hive -- sweep \
@@ -33,6 +36,12 @@ cargo run -q --release --offline -p catnap-hive -- sweep \
   --packet-bits 128 --warmup 60 --measure 60 --seed 11 \
   --cache "$HIVE_TMP/cache" --out "$HIVE_TMP/sweep.json"
 test -s "$HIVE_TMP/sweep.json" || { echo "hive smoke produced no output"; exit 1; }
+
+echo "== catbench (the benchmark builds and passes against this API) =="
+# catbench is a workspace of its own and compiles against the crates'
+# public API; a change that breaks that API fails here, not only when
+# the benchmark next runs.
+cargo test -q --release --offline --manifest-path catbench/Cargo.toml
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -1,8 +1,8 @@
 //! Fast-forward speedup observability: times `MultiNoc::step_until` on
 //! the workload the quiescence engine targets — a light, intermittent
-//! load on the gated 4NT-128b configuration — against the forced
-//! per-cycle baseline (`set_force_full_step(true)`, the single audited
-//! escape hatch), and writes `bench_out/perf_fastforward.json`.
+//! load on the gated 4NT-128b configuration — against the per-cycle
+//! baseline (a `drive(); step_reference()` loop, the oracle that takes
+//! no shortcut), and writes `bench_out/perf_fastforward.json`.
 //!
 //! The two runs are the same simulation: same config, same seed, same
 //! arrivals. The baseline executes every one of the cycles; the fast run
@@ -11,8 +11,8 @@
 //! that the fast run is at least 5x quicker end-to-end — the
 //! acceptance floor for the engine. A second, busy scenario (one subnet
 //! near saturation, three gated) times the event/wakeup scheduler
-//! against the same forced per-cycle baseline when there is nothing
-//! quiescent to skip.
+//! against the same per-cycle baseline when there is nothing quiescent
+//! to skip.
 
 use catnap::{MultiNoc, MultiNocConfig, SkipStats, Snapshot};
 use catnap_bench::{emit_json, print_banner, Table};
@@ -61,16 +61,22 @@ catnap_util::impl_to_json_struct!(PerfFastForward {
 });
 
 /// Drives uniform-random traffic through `step_until` for `cycles`
-/// cycles and times the whole run. With `force_full` the engine is
-/// pinned to per-cycle stepping — the baseline the speedup is measured
+/// cycles and times the whole run. With `reference` every cycle is a
+/// `step_reference` instead — the baseline the speedup is measured
 /// against; the simulation itself is identical either way.
-fn run_timed(scenario: &str, offered: f64, cycles: u64, force_full: bool) -> (Scenario, SkipStats, Snapshot, u64) {
+fn run_timed(scenario: &str, offered: f64, cycles: u64, reference: bool) -> (Scenario, SkipStats, Snapshot, u64) {
     let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(7);
     let mut net = MultiNoc::new(cfg);
-    net.set_force_full_step(force_full);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, offered, 512, net.dims(), 7);
     let start = Instant::now();
-    net.step_until(&mut load, cycles);
+    if reference {
+        while net.cycle() < cycles {
+            load.drive(&mut net);
+            net.step_reference();
+        }
+    } else {
+        net.step_until(&mut load, cycles);
+    }
     let wall = start.elapsed();
     black_box(net.cycle());
     let stats = net.skip_stats();
@@ -92,7 +98,7 @@ fn run_timed(scenario: &str, offered: f64, cycles: u64, force_full: bool) -> (Sc
 fn main() {
     print_banner(
         "perf_fastforward",
-        "quiescence fast-forward speedup vs forced per-cycle baseline",
+        "quiescence fast-forward speedup vs the per-cycle reference step",
     );
 
     // --- Light intermittent load: the engine's target regime ---
@@ -101,7 +107,7 @@ fn main() {
     // arrivals, so nearly the whole run is skippable.
     const LIGHT_OFFERED: f64 = 5e-5;
     const LIGHT_CYCLES: u64 = 200_000;
-    let (full, _, snap_full, del_full) = run_timed("light_gated_full_step", LIGHT_OFFERED, LIGHT_CYCLES, true);
+    let (full, _, snap_full, del_full) = run_timed("light_gated_reference", LIGHT_OFFERED, LIGHT_CYCLES, true);
     let (fast, stats, snap_fast, del_fast) = run_timed("light_gated_fastforward", LIGHT_OFFERED, LIGHT_CYCLES, false);
     assert_eq!(
         snap_full, snap_fast,
@@ -125,14 +131,14 @@ fn main() {
     // other three stay gated) and the system is almost never quiescent,
     // so the fast-forward layer contributes nothing; the ratio measures
     // what the event/wakeup scheduler and the mask-driven allocator buy
-    // over the forced scan-everything baseline when there is real work
+    // over the scan-everything reference step when there is real work
     // every cycle. The win is bounded by Amdahl: the saturated subnet's
     // router work is shared by both modes, and only the gated subnets'
     // scan cost is eliminated outright.
     const BUSY_OFFERED: f64 = 0.05;
     const BUSY_CYCLES: u64 = 20_000;
     let (busy_full, _, busy_snap_full, busy_del_full) =
-        run_timed("busy_gated_full_step", BUSY_OFFERED, BUSY_CYCLES, true);
+        run_timed("busy_gated_reference", BUSY_OFFERED, BUSY_CYCLES, true);
     let (busy_fast, _, busy_snap_fast, busy_del_fast) =
         run_timed("busy_gated_eventdriven", BUSY_OFFERED, BUSY_CYCLES, false);
     assert_eq!(busy_snap_full, busy_snap_fast, "busy runs must also be bit-identical");

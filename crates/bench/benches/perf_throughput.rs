@@ -8,8 +8,8 @@
 //!
 //! * **worklist** — the drained-router fast path on a light-load
 //!   power-gated subnet, measured at the `Network` hot loop itself,
-//!   versus the same simulation with `set_force_full_step(true)` (the
-//!   naive walk-everything loop). Results are bit-identical; only
+//!   versus the same simulation stepped by `Network::step_reference`
+//!   (the naive walk-everything oracle). Results are bit-identical; only
 //!   wall-clock differs. This is where "wall-clock per cycle drops with
 //!   the fraction of sleeping routers" lives.
 //! * **end-to-end** — the same comparison through the whole `MultiNoc`
@@ -73,10 +73,9 @@ catnap_util::impl_to_json_struct!(PerfThroughput {
 /// packet roughly every `gap` cycles (waking the source on demand), a
 /// periodic local-idle sleep scan over all nodes (policies evaluate on
 /// a window, not every cycle), ejection drained into a reused buffer.
-/// No RNG, so the forced-full and fast runs are the same simulation.
-fn run_network_timed(scenario: &str, gap: u64, warmup: u64, measure: u64, force_full: bool) -> Scenario {
+/// No RNG, so the reference and fast runs are the same simulation.
+fn run_network_timed(scenario: &str, gap: u64, warmup: u64, measure: u64, reference: bool) -> Scenario {
     let mut net = Network::new(NetworkConfig::with_width(128).gating_enabled(true));
-    net.set_force_full_step(force_full);
     let nodes = net.dims().num_nodes() as u64;
     let mut eject = Vec::new();
     let mut pending: Option<(NodeId, NodeId)> = None;
@@ -105,7 +104,11 @@ fn run_network_timed(scenario: &str, gap: u64, warmup: u64, measure: u64, force_
                 net.request_sleep(node);
             }
         }
-        net.step();
+        if reference {
+            net.step_reference();
+        } else {
+            net.step();
+        }
         eject.clear();
         net.drain_ejected_into(&mut eject);
     };
@@ -134,27 +137,33 @@ fn run_network_timed(scenario: &str, gap: u64, warmup: u64, measure: u64, force_
 }
 
 /// Runs `measure` cycles of uniform-random traffic after `warmup`
-/// untimed cycles and reports the observed throughput.
+/// untimed cycles and reports the observed throughput; with `reference`
+/// every cycle is a `MultiNoc::step_reference`.
 fn run_timed(
     scenario: &str,
     cfg: MultiNocConfig,
     offered: f64,
     warmup: u64,
     measure: u64,
-    force_full: bool,
+    reference: bool,
 ) -> Scenario {
     let mut net = MultiNoc::new(cfg);
-    net.set_force_full_step(force_full);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, offered, 512, net.dims(), 7);
+    let mut cycle = |net: &mut MultiNoc| {
+        load.drive(net);
+        if reference {
+            net.step_reference();
+        } else {
+            net.step();
+        }
+    };
     for _ in 0..warmup {
-        load.drive(&mut net);
-        net.step();
+        cycle(&mut net);
     }
     let before = net.snapshot();
     let start = Instant::now();
     for _ in 0..measure {
-        load.drive(&mut net);
-        net.step();
+        cycle(&mut net);
     }
     let wall = start.elapsed();
     let after = net.snapshot();
@@ -222,11 +231,11 @@ fn main() {
     let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64;
 
     // --- Worklist speedup at the Network hot loop ---
-    let hot_full = run_network_timed("hotloop_light_gated_full_step", 48, 2_000, 40_000, true);
+    let hot_full = run_network_timed("hotloop_light_gated_reference", 48, 2_000, 40_000, true);
     let hot_fast = run_network_timed("hotloop_light_gated_worklist", 48, 2_000, 40_000, false);
     assert_eq!(
         hot_full.packets_delivered, hot_fast.packets_delivered,
-        "fast path must be observably identical to the full step"
+        "fast path must be observably identical to the reference step"
     );
     let worklist_speedup = hot_fast.cycles_per_sec / hot_full.cycles_per_sec;
 
@@ -235,11 +244,11 @@ fn main() {
     // most routers of subnet 0 are drained; the remaining per-cycle cost
     // is the policy/NI/detector layer, so this ratio is Amdahl-bounded.
     let gated = || MultiNocConfig::catnap_4x128().gating(true).seed(7);
-    let full = run_timed("e2e_light_gated_full_step", gated(), 0.01, 1_000, 20_000, true);
+    let full = run_timed("e2e_light_gated_reference", gated(), 0.01, 1_000, 20_000, true);
     let fast = run_timed("e2e_light_gated_worklist", gated(), 0.01, 1_000, 20_000, false);
     assert_eq!(
         full.packets_delivered, fast.packets_delivered,
-        "fast path must be observably identical to the full step"
+        "fast path must be observably identical to the reference step"
     );
     let e2e_light_gated_speedup = fast.cycles_per_sec / full.cycles_per_sec;
 

@@ -29,7 +29,7 @@ use catnap_util::codec::{self, ByteReader, ByteWriter, CodecError, Fnv64};
 /// Current checkpoint format version. Bump on any layout change — old
 /// checkpoints are rejected with
 /// [`CodecError::UnsupportedVersion`], never misparsed.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Version of the [`config_fingerprint`] *input schema*: which config
 /// fields are hashed, and in what encoding. Bump whenever that set or
@@ -212,8 +212,17 @@ mod tests {
         let payload = codec::open(&blob, CHECKPOINT_VERSION, config_fingerprint(&cfg)).unwrap();
         let future = codec::seal(CHECKPOINT_VERSION + 1, config_fingerprint(&cfg), payload);
         assert!(matches!(
-            MultiNoc::resume_from(cfg, &future),
+            MultiNoc::resume_from(cfg.clone(), &future),
             Err(CodecError::UnsupportedVersion { .. })
+        ));
+
+        // A blob sealed under version 1, whose layout still carried the
+        // scheduling mode bits and per-subnet quiescence counters, is
+        // refused rather than misparsed.
+        let old = codec::seal(1, config_fingerprint(&cfg), payload);
+        assert!(matches!(
+            MultiNoc::resume_from(cfg, &old),
+            Err(CodecError::UnsupportedVersion { found: 1, expected: 2 })
         ));
     }
 }

@@ -71,8 +71,17 @@ impl GatingPolicy {
     /// The networks veto unsafe requests themselves (sleep guards,
     /// in-flight flit checks), so the policy may ask freely; every
     /// granted transition is reported through each network's telemetry
-    /// sink.
-    pub fn apply<S: Sink>(self, dims: MeshDims, subnets: &mut [Network<S>], or_nets: &[OrNetwork], nis: &[NodeNi]) {
+    /// sink. With `reference` (`MultiNoc::step_reference`) every sweep
+    /// runs; otherwise sweeps over a fully sleeping subnet, which can
+    /// only be rejected, are skipped.
+    pub fn apply<S: Sink>(
+        self,
+        dims: MeshDims,
+        subnets: &mut [Network<S>],
+        or_nets: &[OrNetwork],
+        nis: &[NodeNi],
+        reference: bool,
+    ) {
         let k = subnets.len();
         match self {
             GatingPolicy::None => {}
@@ -81,7 +90,7 @@ impl GatingPolicy {
                     // A fully sleeping subnet rejects every request (the
                     // sleep guard needs an Active machine), so the sweep
                     // is a provable no-op.
-                    if net.all_asleep() {
+                    if !reference && net.all_asleep() {
                         continue;
                     }
                     for node in dims.nodes() {
@@ -109,7 +118,7 @@ impl GatingPolicy {
                     // below is a sleep request; if subnet h is already
                     // fully asleep those are all rejected by the sleep
                     // guard, so the sweep is a provable no-op.
-                    if !or_nets[h - 1].any() && subnets[h].all_asleep() {
+                    if !reference && !or_nets[h - 1].any() && subnets[h].all_asleep() {
                         continue;
                     }
                     for node in dims.nodes() {

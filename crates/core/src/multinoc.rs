@@ -8,7 +8,6 @@ use crate::ni::NodeNi;
 use crate::rcs::OrNetwork;
 use crate::select::{congestion_mask, CatnapPriority, RandomSelect, RoundRobin, SubnetSelector};
 use catnap_noc::checkpoint::{get_flit, put_flit};
-use catnap_noc::quiescence::{Quiescence, QuiescenceTracker};
 use catnap_noc::stats::{GatingActivity, RouterActivity};
 use catnap_noc::{Flit, MeshDims, Network, NodeId, PacketDescriptor, RegionMap};
 use catnap_telemetry::{Event, NopSink, Sink, SinkScope, Trace, TraceMeta};
@@ -54,8 +53,8 @@ pub struct MultiNoc<S: Sink = NopSink> {
     /// from one RNG in visit order, so order is load-bearing). An NI
     /// joins at `submit` and leaves at the end of a cycle that observes
     /// it idle — the exact condition under which its per-cycle body is a
-    /// no-op. Ignored under forced full stepping (the canonical
-    /// all-nodes scan runs instead).
+    /// no-op. Ignored by the reference step (which scans every NI and
+    /// then recomputes the list).
     busy_nis: Vec<u32>,
     /// Per-subnet count of set local-congestion bits (`lcs[s]`), so the
     /// detector and OR-network elisions can test "all clear" in O(1).
@@ -68,13 +67,10 @@ pub struct MultiNoc<S: Sink = NopSink> {
     eject_buf: Vec<(NodeId, Flit)>,
     /// Reusable per-subnet congestion mask handed to the selector.
     congested_buf: Vec<bool>,
-    /// Per-subnet quiescence trackers driving `step_until`'s multi-cycle
-    /// fast-forward.
-    trackers: Vec<QuiescenceTracker>,
-    /// When true, `step_until` never fast-forwards (the audited
-    /// cycle-by-cycle escape hatch, see
-    /// [`MultiNoc::set_force_full_step`]).
-    force_full: bool,
+    /// Per-subnet quiescence assessments made by `step_until`.
+    assessments: u64,
+    /// Assessments that found the subnet quiescent.
+    quiescent_assessments: u64,
     /// Fast-forward invocations so far.
     skips: u64,
     /// Cycles covered by fast-forwards (also counted in `cycle`).
@@ -157,8 +153,8 @@ impl<S: Sink> MultiNoc<S> {
             stepped_cycles: 0,
             eject_buf: Vec::new(),
             congested_buf: Vec::with_capacity(k),
-            trackers: vec![QuiescenceTracker::new(); k],
-            force_full: false,
+            assessments: 0,
+            quiescent_assessments: 0,
             skips: 0,
             skipped_cycles: 0,
             policy_sink: sinks(SinkScope::Policy),
@@ -194,19 +190,6 @@ impl<S: Sink> MultiNoc<S> {
         DispatchStats {
             phase_serial: self.stepped_cycles,
             ..DispatchStats::default()
-        }
-    }
-
-    /// Disables (or re-enables) *every* cycle-skipping shortcut: the
-    /// drained-router fast path in each subnet (see
-    /// [`Network::set_force_full_step`]) **and** the multi-cycle
-    /// fast-forward of [`MultiNoc::step_until`]. One switch is the single
-    /// audited escape hatch — forcing full stepping must leave no skip
-    /// machinery engaged anywhere. Results are bit-identical either way.
-    pub fn set_force_full_step(&mut self, force: bool) {
-        self.force_full = force;
-        for net in &mut self.subnets {
-            net.set_force_full_step(force);
         }
     }
 
@@ -308,7 +291,7 @@ impl<S: Sink> MultiNoc<S> {
     /// sample). The windowed metrics (InjectionRate, Delay) mutate their
     /// window position every cycle and are never skipped.
     fn detector_sweep_elidable(&self, s: usize) -> bool {
-        if self.force_full || self.lcs_set[s] != 0 {
+        if self.lcs_set[s] != 0 {
             return false;
         }
         match self.cfg.metric {
@@ -325,11 +308,36 @@ impl<S: Sink> MultiNoc<S> {
     }
 
     /// Advances the whole design by one cycle.
+    ///
+    /// Only busy NIs run, and provably idle detector sweeps, OR-network
+    /// samples and gating sweeps are elided; the subnets step through
+    /// their event schedulers. [`MultiNoc::step_reference`] is the
+    /// oracle it is checked against, and the two may be interleaved.
     pub fn step(&mut self) {
+        self.advance(false);
+    }
+
+    /// Advances the whole design by one cycle the naive way: the test
+    /// and bench oracle for [`MultiNoc::step`]. Every NI runs, the
+    /// gating policy sweeps every subnet it covers, every subnet takes a
+    /// [`Network::step_reference`], every detector samples and every OR
+    /// network ticks — none of `step`'s elisions is taken. The step
+    /// ends by recomputing the busy-NI worklist from the NIs, so either
+    /// step may follow and nothing records which one ran. Use it in a
+    /// `drive(); step_reference()` loop: it never fast-forwards, and a
+    /// run stepped only this way keeps both [`MultiNoc::skip_stats`]
+    /// and every subnet's [`Network::sched_stats`] at their defaults.
+    pub fn step_reference(&mut self) {
+        self.advance(true);
+    }
+
+    /// One cycle of [`MultiNoc::step`], or with `reference` one cycle of
+    /// [`MultiNoc::step_reference`].
+    fn advance(&mut self, reference: bool) {
         let k = self.cfg.subnets;
 
         // --- Network interfaces: refill, subnet assignment, injection ---
-        if self.force_full {
+        if reference {
             for idx in 0..self.nis.len() {
                 self.ni_cycle(idx);
             }
@@ -347,14 +355,18 @@ impl<S: Sink> MultiNoc<S> {
         // --- Power-gating policy ---
         self.cfg
             .gating_policy
-            .apply(self.cfg.dims, &mut self.subnets, &self.or_nets, &self.nis);
+            .apply(self.cfg.dims, &mut self.subnets, &self.or_nets, &self.nis, reference);
 
         // --- Step every subnet ---
         // Each `Network::step` is self-contained (no cross-subnet state,
         // no RNG); all cross-subnet coupling (NIs, policies, detectors,
         // OR networks) happens around this point.
         for net in &mut self.subnets {
-            net.step();
+            if reference {
+                net.step_reference();
+            } else {
+                net.step();
+            }
         }
         self.stepped_cycles += 1;
         self.cycle = self.subnets[0].cycle();
@@ -389,7 +401,7 @@ impl<S: Sink> MultiNoc<S> {
 
         // --- Local congestion detection (post-step state) ---
         for s in 0..k {
-            if self.detector_sweep_elidable(s) {
+            if !reference && self.detector_sweep_elidable(s) {
                 continue;
             }
             for idx in 0..self.nis.len() {
@@ -419,12 +431,17 @@ impl<S: Sink> MultiNoc<S> {
                 self.lcs[s][idx] = now;
             }
         }
-        if self.force_full {
-            for ni in self.nis.iter_mut() {
+        if reference {
+            self.busy_nis.clear();
+            for (idx, ni) in self.nis.iter_mut().enumerate() {
                 for (s, &flits) in ni.injected_flits_this_cycle.iter().enumerate() {
                     self.injected_flits_per_subnet[s] += u64::from(flits);
                 }
                 ni.end_cycle();
+                self.ni_busy[idx] = !ni.is_idle();
+                if self.ni_busy[idx] {
+                    self.busy_nis.push(idx as u32);
+                }
             }
         } else {
             // Only busy NIs can have injected this cycle; this is also
@@ -449,7 +466,7 @@ impl<S: Sink> MultiNoc<S> {
         // --- Regional OR networks ---
         for s in 0..k {
             let lcs = &self.lcs[s];
-            if !self.force_full && self.lcs_set[s] == 0 && !self.or_nets[s].any() {
+            if !reference && self.lcs_set[s] == 0 && !self.or_nets[s].any() {
                 // All-false sample into an all-clear network: a latch (if
                 // one falls here) observes no set bit and reports no
                 // change, so only the countdown moves — which the
@@ -481,27 +498,25 @@ impl<S: Sink> MultiNoc<S> {
     /// history, packet arrivals — is stepped normally; only stretches
     /// where *every* intervening cycle is a provable no-op are replaced
     /// by one [`MultiNoc::fast_forward`]. The skip horizon is the
-    /// minimum over the per-subnet [`QuiescenceTracker`] horizons, the
+    /// minimum over the per-subnet [`Network::skip_horizon`]s, the
     /// per-node congestion-detector bounds, and the traffic source's
     /// [`TrafficSource::next_arrival_cycle`].
     ///
-    /// [`MultiNoc::set_force_full_step`] disables the fast-forward
-    /// entirely (the audited baseline for equivalence checks).
+    /// The audited baseline for equivalence checks is the same loop
+    /// over [`MultiNoc::step_reference`], which never skips.
     pub fn step_until<T: TrafficSource>(&mut self, source: &mut T, target_cycle: u64) {
         while self.cycle < target_cycle {
             source.drive(self);
-            if !self.force_full {
-                let horizon = self.assess_skip();
-                if horizon >= 2 {
-                    let next_arrival = source.next_arrival_cycle(self.cycle + 1, target_cycle);
-                    let dt = horizon.min(next_arrival - self.cycle);
-                    // Landing exactly on the arrival cycle is fine: its
-                    // drive() runs at the top of the next iteration,
-                    // before anything else observes the cycle.
-                    if dt >= 2 {
-                        self.fast_forward(dt);
-                        continue;
-                    }
+            let horizon = self.assess_skip();
+            if horizon >= 2 {
+                let next_arrival = source.next_arrival_cycle(self.cycle + 1, target_cycle);
+                let dt = horizon.min(next_arrival - self.cycle);
+                // Landing exactly on the arrival cycle is fine: its
+                // drive() runs at the top of the next iteration, before
+                // anything else observes the cycle.
+                if dt >= 2 {
+                    self.fast_forward(dt);
+                    continue;
                 }
             }
             self.step();
@@ -535,11 +550,13 @@ impl<S: Sink> MultiNoc<S> {
         );
         let mut dt = u64::MAX;
         for s in 0..self.cfg.subnets {
-            let may_sleep = self.cfg.gating_policy.subnet_gateable(s);
-            match self.trackers[s].assess(&self.subnets[s], may_sleep) {
-                Quiescence::Busy => return 0,
-                Quiescence::QuietFor(h) => dt = dt.min(h),
+            self.assessments += 1;
+            if !self.subnets[s].is_quiescent() {
+                return 0;
             }
+            self.quiescent_assessments += 1;
+            let may_sleep = self.cfg.gating_policy.subnet_gateable(s);
+            dt = dt.min(self.subnets[s].skip_horizon(may_sleep));
             if dt == 0 {
                 return 0;
             }
@@ -613,8 +630,8 @@ impl<S: Sink> MultiNoc<S> {
         SkipStats {
             skips: self.skips,
             skipped_cycles: self.skipped_cycles,
-            assessments: self.trackers.iter().map(QuiescenceTracker::assessments).sum(),
-            quiescent_assessments: self.trackers.iter().map(QuiescenceTracker::quiescent_hits).sum(),
+            assessments: self.assessments,
+            quiescent_assessments: self.quiescent_assessments,
         }
     }
 
@@ -703,13 +720,12 @@ impl<S: Sink> MultiNoc<S> {
                 det.encode(w);
             }
             self.or_nets[s].encode(w);
-            w.put_u64(self.trackers[s].assessments());
-            w.put_u64(self.trackers[s].quiescent_hits());
         }
         self.selector.encode_state(w);
-        w.put_bool(self.force_full);
         w.put_u64(self.skips);
         w.put_u64(self.skipped_cycles);
+        w.put_u64(self.assessments);
+        w.put_u64(self.quiescent_assessments);
         for net in &mut self.subnets {
             net.save_state(w);
         }
@@ -782,17 +798,15 @@ impl<S: Sink> MultiNoc<S> {
                 *det = LocalDetector::decode(r)?;
             }
             self.or_nets[s] = OrNetwork::decode(r, self.or_nets[s].regions().clone(), self.cfg.rcs_period)?;
-            let assessments = r.get_u64()?;
-            let hits = r.get_u64()?;
-            if hits > assessments {
-                return Err(CodecError::Invalid("quiescence counters inconsistent"));
-            }
-            self.trackers[s] = QuiescenceTracker::from_counters(assessments, hits);
         }
         self.selector.decode_state(r)?;
-        self.force_full = r.get_bool()?;
         self.skips = r.get_u64()?;
         self.skipped_cycles = r.get_u64()?;
+        self.assessments = r.get_u64()?;
+        self.quiescent_assessments = r.get_u64()?;
+        if self.quiescent_assessments > self.assessments {
+            return Err(CodecError::Invalid("quiescence counters inconsistent"));
+        }
         for net in self.subnets.iter_mut() {
             net.load_state(r)?;
         }
@@ -1231,25 +1245,6 @@ mod tests {
         assert_eq!(skipped.cycle(), stepped.cycle());
         assert_eq!(skipped.snapshot(), stepped.snapshot());
         assert_eq!(skipped.finish(), stepped.finish());
-    }
-
-    #[test]
-    fn force_full_step_disables_fast_forward() {
-        let cfg = MultiNocConfig::catnap_2x128_64core().gating(true).seed(11);
-        let mut net = MultiNoc::new(cfg);
-        net.set_force_full_step(true);
-        let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.001, 512, net.dims(), 5);
-        net.step_until(&mut load, 2_000);
-        assert_eq!(
-            net.skip_stats(),
-            SkipStats::default(),
-            "the escape hatch must reach every shortcut"
-        );
-        assert_eq!(net.cycle(), 2_000);
-        // Re-enabling restores skipping.
-        net.set_force_full_step(false);
-        net.step_until(&mut load, 4_000);
-        assert!(net.skip_stats().skipped_cycles > 0);
     }
 
     #[test]

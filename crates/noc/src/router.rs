@@ -258,22 +258,12 @@ impl Router {
     /// `t_idle_detect` cycles, no open wormhole binding on any of its VCs
     /// (a packet may still have flits upstream of the router — e.g. in
     /// the NI — while the buffer is momentarily empty), and port gating
-    /// enabled.
-    pub fn port_sleep_guard_ok(&self, port: Port) -> bool {
-        let Some(psms) = &self.port_psm else { return false };
-        psms[port.index()].state().is_active()
-            && self.port_idle[port.index()] >= self.t_idle_detect
-            && (0..self.vcs).all(|v| {
-                let slot = self.input(port, v);
-                slot.is_empty() && slot.binding().is_none()
-            })
-    }
-
-    /// Lag-aware variant of [`Router::port_sleep_guard_ok`] (see
-    /// [`Router::sleep_guard_ok_lagged`]): per-port idle counters advance
-    /// every deferred cycle too (the router machine stays active in
-    /// port-gating mode), so the deferred stretch is credited directly.
-    pub fn port_sleep_guard_ok_lagged(&self, port: Port, lag: u64) -> bool {
+    /// enabled. `lag` credits idle ticks the network's event scheduler
+    /// has deferred (see [`Router::sleep_guard_ok`]): per-port idle
+    /// counters advance every deferred cycle too (the router machine
+    /// stays active in port-gating mode). Pass 0 for a materialized
+    /// router.
+    pub fn port_sleep_guard_ok(&self, port: Port, lag: u64) -> bool {
         let Some(psms) = &self.port_psm else { return false };
         psms[port.index()].state().is_active()
             && self.port_idle[port.index()] as u64 + lag >= self.t_idle_detect as u64
@@ -312,7 +302,7 @@ impl Router {
     ///
     /// Panics if the guard does not hold or port gating is disabled.
     pub fn enter_port_sleep(&mut self, port: Port, cycle: u64) {
-        assert!(self.port_sleep_guard_ok(port), "port sleep guard violated");
+        assert!(self.port_sleep_guard_ok(port, 0), "port sleep guard violated");
         self.port_psm
             .as_mut()
             .expect("port gating enabled")
@@ -511,17 +501,14 @@ impl Router {
     /// idle for long enough. The network adds link-level conditions (no
     /// inbound wormholes or in-flight flits) before actually gating.
     /// Whole-router gating is unavailable when per-port gating is in use.
-    pub fn sleep_guard_ok(&self) -> bool {
-        self.port_psm.is_none() && self.psm.state().is_active() && self.is_drained() && self.idle_long_enough()
-    }
-
-    /// Lag-aware variant of [`Router::sleep_guard_ok`] for the event
-    /// scheduler: credits `lag` additional drained-Active cycles that the
+    ///
+    /// `lag` credits drained-Active cycles that the network's event
     /// scheduler has deferred but not yet materialized into
-    /// `idle_cycles`. Exact because a deferred router is drained and its
-    /// power-state class cannot change across the deferred stretch, so
-    /// every deferred cycle would have incremented the idle counter.
-    pub fn sleep_guard_ok_lagged(&self, lag: u64) -> bool {
+    /// `idle_cycles` (0 for a materialized router). Exact because a
+    /// deferred router is drained and its power-state class cannot
+    /// change across the deferred stretch, so every deferred cycle would
+    /// have incremented the idle counter.
+    pub fn sleep_guard_ok(&self, lag: u64) -> bool {
         self.port_psm.is_none()
             && self.psm.state().is_active()
             && self.is_drained()
@@ -535,7 +522,7 @@ impl Router {
     ///
     /// Panics if the guard does not hold.
     pub fn enter_sleep(&mut self, cycle: u64) {
-        assert!(self.sleep_guard_ok(), "sleep guard violated for {}", self.node);
+        assert!(self.sleep_guard_ok(0), "sleep guard violated for {}", self.node);
         self.psm.enter_sleep(cycle);
     }
 
@@ -556,11 +543,11 @@ impl Router {
 
     /// [`Router::step`] through the *reference* allocator: the original
     /// scan-everything stage-1 implementation, kept verbatim as an
-    /// independent code path. The forced-full-step mode of the network
-    /// uses it, so the differential suite compares two genuinely
-    /// distinct allocators (an optimization bug in [`Router::step`]
-    /// cannot cancel out against itself) and the full-step benchmark
-    /// baseline stays the naive per-cycle walk.
+    /// independent code path. The network's reference step
+    /// (`Network::step_reference`) uses it, so the differential suite
+    /// compares two genuinely distinct allocators (an optimization bug
+    /// in [`Router::step`] cannot cancel out against itself) and the
+    /// benchmark baseline stays the naive per-cycle walk.
     pub fn step_reference(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         out.clear();
         if self.psm.state().is_active() {
@@ -915,8 +902,8 @@ impl Router {
 
     /// Stage 1, reference implementation: the original scan-everything
     /// allocator, byte-for-byte the pre-scheduler behaviour. Kept as an
-    /// independent twin of [`Router::allocate`] for the forced-full-step
-    /// baseline and the differential tests.
+    /// independent twin of [`Router::allocate`] for the network's
+    /// reference step and the differential tests.
     fn allocate_reference(&mut self, neighbor_active: &[bool; NUM_PORTS], out: &mut RouterOutput) {
         // --- VC allocation for head flits without a binding ---
         for port in Port::ALL {
@@ -1062,35 +1049,14 @@ impl Router {
     /// simulation cycle, used to credit compensated sleep cycles of a
     /// still-open sleep period. With port gating enabled, the residencies
     /// are summed over the five ports (so totals are in port-cycles).
-    pub fn gating_activity(&self, cycle: u64) -> GatingActivity {
-        match &self.port_psm {
-            None => GatingActivity {
-                active_cycles: self.psm.active_cycles,
-                sleep_cycles: self.psm.sleep_cycles,
-                wakeup_cycles: self.psm.wakeup_cycles,
-                sleep_transitions: self.psm.sleep_transitions,
-                compensated_sleep_cycles: self.psm.compensated_at(cycle),
-            },
-            Some(psms) => psms
-                .iter()
-                .map(|p| GatingActivity {
-                    active_cycles: p.active_cycles,
-                    sleep_cycles: p.sleep_cycles,
-                    wakeup_cycles: p.wakeup_cycles,
-                    sleep_transitions: p.sleep_transitions,
-                    compensated_sleep_cycles: p.compensated_at(cycle),
-                })
-                .fold(GatingActivity::default(), GatingActivity::merged),
-        }
-    }
-
-    /// Lag-aware variant of [`Router::gating_activity`] for the event
-    /// scheduler: credits `lag` deferred idle ticks to whichever
-    /// residency counter the machine's *current* state class accrues
-    /// into. Exact because the class is constant across a deferred
-    /// stretch (the scheduler materializes a router before any class
-    /// transition can land), and `compensated_at` is already time-based.
-    pub fn gating_activity_lagged(&self, cycle: u64, lag: u64) -> GatingActivity {
+    ///
+    /// `lag` credits idle ticks the network's event scheduler has
+    /// deferred (0 for a materialized router) to whichever residency
+    /// counter the machine's *current* state class accrues into. Exact
+    /// because the class is constant across a deferred stretch (the
+    /// scheduler materializes a router before any class transition can
+    /// land), and `compensated_at` is already time-based.
+    pub fn gating_activity(&self, cycle: u64, lag: u64) -> GatingActivity {
         fn one(p: &PowerStateMachine, cycle: u64, lag: u64) -> GatingActivity {
             let mut g = GatingActivity {
                 active_cycles: p.active_cycles,
@@ -1497,11 +1463,15 @@ mod tests {
         let mut r = router();
         let mut out = RouterOutput::default();
         assert!(!r.idle_long_enough());
-        for _ in 0..4 {
+        for _ in 0..3 {
             r.step(&ALL_ACTIVE, &mut out);
         }
+        // One deferred idle tick makes up the missing cycle.
+        assert!(!r.sleep_guard_ok(0));
+        assert!(r.sleep_guard_ok(1));
+        r.step(&ALL_ACTIVE, &mut out);
         assert!(r.idle_long_enough());
-        assert!(r.sleep_guard_ok());
+        assert!(r.sleep_guard_ok(0));
         // A delivery resets idleness.
         r.deliver(Port::West, flit(1, FlitKind::Single, 0, 1, Port::East, 0));
         assert!(!r.idle_long_enough());
@@ -1525,9 +1495,13 @@ mod tests {
             r.step(&ALL_ACTIVE, &mut out);
         }
         assert!(r.power_state().is_active());
-        let g = r.gating_activity(20);
+        let g = r.gating_activity(20, 0);
         assert_eq!(g.sleep_transitions, 1);
         assert!(g.wakeup_cycles == 10);
+        // Deferred ticks accrue to the current (Active) class.
+        let lagged = r.gating_activity(20, 3);
+        assert_eq!(lagged.active_cycles, g.active_cycles + 3);
+        assert_eq!(lagged.wakeup_cycles, g.wakeup_cycles);
     }
 
     #[test]

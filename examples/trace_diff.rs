@@ -12,7 +12,8 @@
 //! ```
 //!
 //! With `--demo` it generates the comparison in-process: one
-//! `4NT-128b-PG` run stepped cycle-by-cycle and one driven through
+//! `4NT-128b-PG` run stepped cycle-by-cycle through the reference step
+//! (`MultiNoc::step_reference`, the oracle) and one driven through
 //! `step_until`'s quiescence fast-forward, then diffs the full event
 //! traces and the exported CSV timelines (both must come out
 //! identical). Exits 0 when identical, 1 on divergence, 2 on usage
@@ -31,9 +32,11 @@ fn demo() -> ExitCode {
     let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.0005, 512, dims, 23);
 
     let mut baseline = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
-    baseline.set_force_full_step(true);
     let mut lb = load(baseline.dims());
-    baseline.step_until(&mut lb, DEMO_CYCLES);
+    while baseline.cycle() < DEMO_CYCLES {
+        lb.drive(&mut baseline);
+        baseline.step_reference();
+    }
 
     let mut fast = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
     let mut lf = load(fast.dims());

@@ -3,14 +3,15 @@
 //! `Network::step` defaults to event/wakeup scheduling: a cycle only
 //! touches routers that have work, receive a delivery, or whose wake-up
 //! countdown expires, with everything else deferred and materialized
-//! lazily. The contract is *bit-identity* with the forced per-cycle
-//! scan-everything loop (`set_force_full_step(true)`), which also runs
+//! lazily. The contract is *bit-identity* with the per-cycle
+//! scan-everything oracle (`MultiNoc::step_reference`), which also runs
 //! the independently-implemented reference allocator — so the twins
 //! compared here are two genuinely distinct code paths, not one
 //! implementation diffed against itself.
 //!
-//! Three layers of evidence: the six pinned determinism goldens (stats
+//! Four layers of evidence: the six pinned determinism goldens (stats
 //! fingerprints, full snapshots, per-packet latency histograms), the
+//! same goldens with the two steps interleaved cycle by cycle, the
 //! recording-telemetry trace and CSV-timeline diffs, and a randomized
 //! property over topology / subnet count / buffer shape / gating policy
 //! under bursty and saturating loads, which reports the first divergent
@@ -29,18 +30,39 @@ use std::collections::BTreeMap;
 /// buckets `delivery - created`.
 type LatencyHistogram = BTreeMap<u64, u64>;
 
-/// Runs the golden scenario for `cycles` with the given stepping mode
-/// and returns everything the comparison needs.
-fn golden_run(selector: SelectorKind, gating: bool, cycles: u64, force_full: bool) -> (MultiNoc, LatencyHistogram) {
+/// The six pinned determinism goldens: `(selector, gating,
+/// (packets delivered, latency sum, OR switch events))` after 1,500
+/// cycles of the golden scenario (see `tests/determinism.rs`).
+const PINNED: [(SelectorKind, bool, (u64, u64, u64)); 6] = [
+    (SelectorKind::RoundRobin, true, (7416, 290007, 325)),
+    (SelectorKind::RoundRobin, false, (7502, 167583, 0)),
+    (SelectorKind::Random, true, (7430, 288557, 331)),
+    (SelectorKind::Random, false, (7504, 168413, 0)),
+    (SelectorKind::CatnapPriority, true, (7443, 248092, 222)),
+    (SelectorKind::CatnapPriority, false, (7447, 225011, 99)),
+];
+
+/// Runs the golden scenario for `cycles`, taking the reference step on
+/// the cycles `reference` picks, and returns everything the comparison
+/// needs.
+fn golden_run(
+    selector: SelectorKind,
+    gating: bool,
+    cycles: u64,
+    reference: impl Fn(u64) -> bool,
+) -> (MultiNoc, LatencyHistogram) {
     let cfg = MultiNocConfig::catnap_4x128().selector(selector).gating(gating).seed(7);
     let mut net = MultiNoc::new(cfg);
-    net.set_force_full_step(force_full);
     net.set_track_deliveries(true);
     let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.08, 512, net.dims(), 7);
     let mut histogram = LatencyHistogram::new();
-    for _ in 0..cycles {
+    for c in 0..cycles {
         load.drive(&mut net);
-        net.step();
+        if reference(c) {
+            net.step_reference();
+        } else {
+            net.step();
+        }
         let now = net.cycle();
         for tail in net.drain_delivered() {
             *histogram.entry(now.saturating_sub(tail.created_cycle)).or_insert(0) += 1;
@@ -50,22 +72,14 @@ fn golden_run(selector: SelectorKind, gating: bool, cycles: u64, force_full: boo
 }
 
 /// All six pinned determinism goldens, replayed through the event
-/// scheduler against the forced full-step twin: stats fingerprints,
-/// full snapshots, final reports and per-packet latency histograms must
-/// be bit-identical, and the scheduler must actually have engaged.
+/// scheduler against the reference-step twin: stats fingerprints, full
+/// snapshots, final reports and per-packet latency histograms must be
+/// bit-identical, and the scheduler must actually have engaged.
 #[test]
 fn goldens_bit_identical_eventdriven_vs_full_step() {
-    let pinned = [
-        (SelectorKind::RoundRobin, true, (7416, 290007, 325)),
-        (SelectorKind::RoundRobin, false, (7502, 167583, 0)),
-        (SelectorKind::Random, true, (7430, 288557, 331)),
-        (SelectorKind::Random, false, (7504, 168413, 0)),
-        (SelectorKind::CatnapPriority, true, (7443, 248092, 222)),
-        (SelectorKind::CatnapPriority, false, (7447, 225011, 99)),
-    ];
-    for (selector, gating, want) in pinned {
-        let (mut full, hist_full) = golden_run(selector, gating, 1_500, true);
-        let (mut event, hist_event) = golden_run(selector, gating, 1_500, false);
+    for (selector, gating, want) in PINNED {
+        let (mut full, hist_full) = golden_run(selector, gating, 1_500, |_| true);
+        let (mut event, hist_event) = golden_run(selector, gating, 1_500, |_| false);
 
         let scope = format!("{selector:?} gating={gating}");
         assert_eq!(event.snapshot(), full.snapshot(), "snapshots diverged for {scope}");
@@ -87,6 +101,32 @@ fn goldens_bit_identical_eventdriven_vs_full_step() {
     }
 }
 
+/// The two steps alternate every cycle: each reference step must leave
+/// the scheduler exactly as the next scheduled step needs it (and the
+/// other way round), so the interleaved run still lands on every pinned
+/// golden and matches the scheduled-only run bit for bit.
+#[test]
+fn interleaved_reference_and_scheduled_steps_hit_goldens() {
+    if std::env::var_os("CATNAP_PRINT_GOLDENS").is_some() {
+        return; // goldens are being re-pinned; determinism.rs prints them
+    }
+    for (selector, gating, want) in PINNED {
+        for odd_is_reference in [false, true] {
+            let (mut mixed, hist_mixed) = golden_run(selector, gating, 1_500, |c| (c % 2 == 1) == odd_is_reference);
+            let (mut event, hist_event) = golden_run(selector, gating, 1_500, |_| false);
+
+            let scope = format!("{selector:?} gating={gating} odd_is_reference={odd_is_reference}");
+            assert_eq!(mixed.snapshot(), event.snapshot(), "snapshots diverged for {scope}");
+            assert_eq!(hist_mixed, hist_event, "latency histograms diverged for {scope}");
+            let report = mixed.finish();
+            assert_eq!(report, event.finish(), "final reports diverged for {scope}");
+            let snap = mixed.snapshot();
+            let got = (report.packets_delivered, snap.latency_sum, snap.or_switch_events);
+            assert_eq!(got, want, "interleaved stepping changed the golden for {scope}");
+        }
+    }
+}
+
 /// Recording telemetry on every scope: the event-driven twin must
 /// produce byte-identical event traces and exported CSV timelines.
 /// Divergences go through the trace-diff tooling so a failure names the
@@ -97,13 +137,16 @@ fn eventdriven_preserves_traces_and_timelines() {
     let cfg = || MultiNocConfig::catnap_4x128().gating(true).seed(31);
     let load = |dims| SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.02, 512, dims, 31);
 
-    let run = |force_full: bool| {
+    let run = |reference: bool| {
         let mut net = MultiNoc::with_sinks(cfg(), |_| RecordingSink::new());
-        net.set_force_full_step(force_full);
         let mut l = load(net.dims());
         for _ in 0..CYCLES {
             l.drive(&mut net);
-            net.step();
+            if reference {
+                net.step_reference();
+            } else {
+                net.step();
+            }
         }
         let trace = net.take_trace();
         (net.snapshot(), net.finish(), trace)
@@ -124,23 +167,26 @@ fn eventdriven_preserves_traces_and_timelines() {
     }
 }
 
-/// The escape hatch fully disables the wakeup queue: a forced-full-step
-/// run must finish with every subnet's scheduler counters at zero —
-/// no router runs, no wakeup pops, no deferred-stretch syncs — while
-/// producing results identical to the scheduled run (the mirror of the
-/// fast-forward escape-hatch check in `tests/fastforward.rs`, one layer
-/// down).
+/// The reference step never touches the scheduler: a run stepped only
+/// by `step_reference` must finish with every subnet's scheduler
+/// counters at zero — no router runs, no wakeup pops, no
+/// deferred-stretch syncs — while producing results identical to the
+/// scheduled run (the mirror of the fast-forward check in
+/// `tests/fastforward.rs`, one layer down).
 #[test]
-fn force_full_step_bypasses_scheduler_entirely() {
-    let run = |force_full: bool| {
+fn reference_steps_bypass_scheduler_entirely() {
+    let run = |reference: bool| {
         let cfg = MultiNocConfig::catnap_4x128().gating(true).seed(13);
         let mut net = MultiNoc::new(cfg);
-        net.set_force_full_step(force_full);
         net.set_track_deliveries(true);
         let mut load = SyntheticWorkload::new(SyntheticPattern::UniformRandom, 0.03, 512, net.dims(), 13);
         for _ in 0..4_000 {
             load.drive(&mut net);
-            net.step();
+            if reference {
+                net.step_reference();
+            } else {
+                net.step();
+            }
         }
         let sched: Vec<SchedStats> = (0..net.num_subnets()).map(|s| net.subnet(s).sched_stats()).collect();
         (net.drain_delivered(), net.snapshot(), net.finish(), sched)
@@ -152,7 +198,7 @@ fn force_full_step_bypasses_scheduler_entirely() {
         assert_eq!(
             *stats,
             SchedStats::default(),
-            "forced full stepping must leave subnet {s}'s scheduler untouched"
+            "reference stepping must leave subnet {s}'s scheduler untouched"
         );
     }
     assert!(
@@ -207,13 +253,12 @@ fn prop_load(input: &PropInput, dims: MeshDims) -> SyntheticWorkload {
 /// diverged after N cycles" into "the first divergent cycle is C".
 fn first_divergent_cycle(input: &PropInput, cycles: u64) -> Option<u64> {
     let mut full = MultiNoc::new(prop_cfg(input));
-    full.set_force_full_step(true);
     let mut event = MultiNoc::new(prop_cfg(input));
     let mut lf = prop_load(input, full.dims());
     let mut le = prop_load(input, event.dims());
     for c in 0..cycles {
         lf.drive(&mut full);
-        full.step();
+        full.step_reference();
         le.drive(&mut event);
         event.step();
         if event.snapshot() != full.snapshot() {
@@ -225,8 +270,8 @@ fn first_divergent_cycle(input: &PropInput, cycles: u64) -> Option<u64> {
 
 /// Property: for arbitrary mesh shape, subnet count, buffer shape,
 /// selector, gating policy and congestion metric, the event-driven core
-/// yields the same ejection stream, snapshot and final report as forced
-/// per-cycle stepping under a bursty, saturating load.
+/// yields the same ejection stream, snapshot and final report as the
+/// per-cycle reference step under a bursty, saturating load.
 #[test]
 fn prop_eventdriven_equals_percycle() {
     const CYCLES: u64 = 2_400;
@@ -253,14 +298,17 @@ fn prop_eventdriven_equals_percycle() {
             seed: rng.gen_range(0u64..10_000),
         },
         |input| {
-            let run = |force_full: bool| {
+            let run = |reference: bool| {
                 let mut net = MultiNoc::new(prop_cfg(input));
-                net.set_force_full_step(force_full);
                 net.set_track_deliveries(true);
                 let mut load = prop_load(input, net.dims());
                 for _ in 0..CYCLES {
                     load.drive(&mut net);
-                    net.step();
+                    if reference {
+                        net.step_reference();
+                    } else {
+                        net.step();
+                    }
                 }
                 (net.drain_delivered(), net.snapshot(), net.finish())
             };
